@@ -46,7 +46,7 @@ def main(job_path: str, result_path: str) -> int:
         setup_times.append(time.perf_counter() - started)
     graph = db.graph
 
-    sets = job["sets"]
+    sets, probe_queries = job["sets"], job["probe_queries"]
     batch = [tuple(edge) for edge in job["probe_batch"]]
     chunks = job["chunks"]
     steps_per_chunk = job["probe_updates"] // chunks
@@ -84,8 +84,7 @@ def main(job_path: str, result_path: str) -> int:
         # same query again.  The batch changes no answer.
         session = GraphDB.open(graph)
         for _step in range(steps_per_chunk):
-            query_set = sets[probe_index % len(sets)]
-            query = query_set[(probe_index // len(sets)) % len(query_set)]
+            query = probe_queries[probe_index % len(probe_queries)]
             session.execute(query)
             kind = "add" if probe_index % 2 == 0 else "remove"
             started = time.perf_counter()

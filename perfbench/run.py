@@ -33,8 +33,8 @@ closed loop -- each caller waits for its reply before sending again:
     join over shard RPCs.
 
 Each workload's graph and queries are drawn once; ``--seed`` orders the
-queries (see ``inputs.py``).  ``--trace 0`` prints the end-to-end
-metrics, and every workload reports all of them.  ``set_p50_s`` on a
+queries inside each set (see ``inputs.py``).  ``--trace 0`` prints the
+end-to-end metrics, and every workload reports all of them.  ``set_p50_s`` on a
 server is one caller's round of 10 requests.  The first query after an
 update, on the two read-only workloads, comes from a probe run in slices
 between the slices of the timed window: one caller runs a query, adds or
@@ -82,12 +82,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("rpq_sets_cold", "serve_read", "serve_mixed", "cluster_edgecut")
-#: Set-ups per run (the median is reported): server start-ups are
-#: cheap, a library open of the yago2s stand-in takes about a second.
-SETUP_REPEATS = {"rpq_sets_cold": 3, "serve_read": 5, "serve_mixed": 5, "cluster_edgecut": 5}
+#: Set-ups per run; the median is reported.
+SETUP_REPEATS = 5
 #: The timed window runs in this many slices, with a slice of the update
 #: probe after each one (read-only workloads), so that probe samples
-#: spread over the run; ``qps`` is the median of the slices' rates.
+#: spread over the run; ``qps`` counts queries over the slices' summed
+#: length.  (The median of the slices' rates moved with the mix of sets
+#: each slice held: one-second slices of ``rpq_sets_cold`` ran 39 to 118
+#: queries per second.)
 CHUNKS = 5
 #: Probe steps per run; each slice takes an even share, so every slice
 #: of the window sees the input graph.
@@ -187,11 +189,8 @@ class Measurement:
 
     @property
     def qps(self) -> float:
-        """The median over the window's slices of queries per second."""
-        return statistics.median(
-            queries / (end - start)
-            for queries, (start, end) in zip(self.chunk_queries, self.windows)
-        )
+        """Queries per second over the window, the probe's gaps left out."""
+        return sum(self.chunk_queries) / sum(end - start for start, end in self.windows)
 
 
 def percentile(values: list, q: float) -> float:
@@ -210,6 +209,7 @@ def percentile(values: list, q: float) -> float:
 
 def run_library(inputs, references: dict, seconds: float, traced: bool,
                 setup_repeats: int, probe_updates: int, work_dir: Path, tag: str) -> Measurement:
+    from environment import child_env
     from inputs import probe_batch
 
     job_path = work_dir / f"job-{tag}.json"
@@ -217,6 +217,7 @@ def run_library(inputs, references: dict, seconds: float, traced: bool,
     job_path.write_text(json.dumps({
         "edge_list": str(inputs.edge_list),
         "sets": inputs.sets,
+        "probe_queries": inputs.probe_queries,
         "seconds": seconds,
         "traced": traced,
         "setup_repeats": setup_repeats,
@@ -224,11 +225,7 @@ def run_library(inputs, references: dict, seconds: float, traced: bool,
         "chunks": CHUNKS,
         "probe_batch": probe_batch(inputs),
     }), encoding="utf-8")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
-    env["TMPDIR"] = str(work_dir)
+    env = child_env(ROOT, work_dir)
     subprocess.run(
         [sys.executable, str(Path(__file__).with_name("library_child.py")),
          str(job_path), str(result_path)],
@@ -564,7 +561,7 @@ def measure(args, inputs, references: dict, work_dir: Path) -> tuple[dict, dict,
 
     Returns the metrics, the observations and the measurements.
     """
-    setup_repeats = 1 if args.smoke or args.trace else SETUP_REPEATS[args.workload]
+    setup_repeats = 1 if args.smoke or args.trace else SETUP_REPEATS
     probe_updates = 0
     if args.workload in ("rpq_sets_cold", "serve_read"):
         probe_updates = 2 * CHUNKS if args.smoke else PROBE_UPDATES

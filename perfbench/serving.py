@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from environment import child_env
 from inputs import Inputs, probe_batch, toggle_edge
 
 CLIENTS = 2
@@ -131,11 +132,7 @@ def launch(root: Path, inputs: Inputs, work_dir: Path, traced: bool, tag: str) -
         command = [sys.executable, "-m", "repro", *args]
     tmp = work_dir / "tmp"
     tmp.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
-    env["TMPDIR"] = str(tmp)
+    env = child_env(root, tmp)
     started = time.perf_counter()
     process = subprocess.Popen(
         command, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
@@ -226,7 +223,7 @@ def client_loop(address, inputs: Inputs, index: int, window: dict, log: ClientLo
     with Client(*address) as client:
         barrier.wait()
         deadline = window["deadline"]
-        request = 0
+        request = sent = 0
         after_update = False
         round_started = time.perf_counter()
         while time.perf_counter() < deadline:
@@ -240,7 +237,13 @@ def client_loop(address, inputs: Inputs, index: int, window: dict, log: ClientLo
                     log.record_update(kind, time.perf_counter() - started)
                     after_update = True
                 else:
-                    query = queries[(offset + request) % len(queries)]
+                    # Queries rotate on their own count: with 9 queries
+                    # between two updates and 20 queries, the first query
+                    # after an update walks through every query.  Rotated
+                    # on the request count it would be one of two, and
+                    # the seed's shuffle would pick which.
+                    query = queries[(offset + sent) % len(queries)]
+                    sent += 1
                     result = _query(client, query, packed, pairs=not mixed)
                     elapsed = time.perf_counter() - started
                     log.query_latencies.append(elapsed)
@@ -308,7 +311,7 @@ def update_probe(server: Server, inputs: Inputs, first: int, count: int,
     from repro.errors import ReproError
     from repro.server import Client
 
-    queries = inputs.queries
+    queries = inputs.probe_queries
     batch = probe_batch(inputs)
     with Client(*server.address) as client:
         for index in range(first, first + count):
