@@ -41,7 +41,6 @@ from repro.core.engines import (
     FullSharingEngine,
     NoSharingEngine,
     RTCSharingEngine,
-    make_engine,
 )
 from repro.core.reduction import edge_level_reduce, reduce_graph, vertex_level_reduce
 from repro.core.rtc import ReducedTransitiveClosure, compute_rtc
@@ -87,7 +86,6 @@ __all__ = [
     "RTCSharingEngine",
     "FullSharingEngine",
     "NoSharingEngine",
-    "make_engine",
     "BatchUnitOptions",
     "ReducedTransitiveClosure",
     "compute_rtc",

@@ -1,10 +1,12 @@
 """Kernel microbenches: set vs bitmap evaluation, list vs packed wire.
 
-The PR-10 before/after instruments.  ``run_kernel_comparison`` times
-the same queries through both kernel routes of
-:func:`repro.rpq.eval_rpq` (``kernel="sets"`` is the pre-PR-10 tuple
-BFS, ``kernel="bits"`` the interned-bitmap product BFS) and asserts the
-answers identical -- a benchmark run is also an identity check.
+The kernel before/after instruments.  ``run_kernel_comparison`` times
+the same queries through both kernels by name, uncounted:
+:func:`repro.rpq.evaluate.eval_rpq_sets` (the tuple product BFS) and
+:func:`repro.bitset.kernel.eval_rpq_bits` (the interned-bitmap product
+BFS), each timed call including the query's parse and NFA compile, and
+asserts the answers identical -- a benchmark run is also an identity
+check.
 ``run_wire_comparison`` measures the JSON byte footprint of the same
 pair relation under the list and ``packed`` encodings of
 :mod:`repro.server.protocol`.
@@ -21,9 +23,15 @@ import json
 import time
 from collections.abc import Sequence
 
+from repro.bitset.kernel import eval_rpq_bits
 from repro.graph.multigraph import LabeledMultigraph
-from repro.rpq import eval_rpq
+from repro.regex.nfa import compile_nfa
+from repro.regex.parser import parse
+from repro.rpq.evaluate import eval_rpq_sets
 from repro.server import protocol
+
+#: The two kernels, by the names the rows use.
+KERNELS = {"sets": eval_rpq_sets, "bits": eval_rpq_bits}
 
 __all__ = [
     "closure_heavy",
@@ -53,11 +61,11 @@ def run_kernel_comparison(
     for query in queries:
         timings = {}
         answers = {}
-        for kernel in ("sets", "bits"):
+        for kernel, evaluate in KERNELS.items():
             best = float("inf")
             for _ in range(repeats):
                 started = time.perf_counter()
-                answers[kernel] = eval_rpq(graph, query, kernel=kernel)
+                answers[kernel] = evaluate(graph, compile_nfa(parse(query)))
                 best = min(best, time.perf_counter() - started)
             timings[kernel] = best
         if answers["sets"] != answers["bits"]:

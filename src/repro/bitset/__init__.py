@@ -20,8 +20,12 @@ proved for the condensation DP to the whole evaluation stack:
   (:meth:`repro.graph.multigraph.LabeledMultigraph.bit_rows`), bitmap
   label joins, and the Theorem-1 closure expansion.
 
-The set-based evaluators remain as the *oracle* kernel: they carry the
-paper's operation counters and gate the bitmap kernel's answers in the
+One rule picks the kernel: every evaluator runs these bitmaps unless
+:class:`~repro.rpq.counters.OpCounters` are attached.  The set-based
+evaluators (:func:`repro.rpq.evaluate.eval_rpq_sets`,
+:func:`repro.rpq.label_join.eval_label_sequence_sets`) remain for
+those counted runs -- the paper's operation-count ablations -- and as
+the *oracle* that gates the bitmap kernel's answers in the
 ``tests/bitset`` identity suite and the before/after benchmark rows.
 """
 
@@ -31,7 +35,6 @@ from repro.bitset.kernel import (
     alphabet_reachable_mask,
     eval_label_sequence_bits,
     eval_rpq_bits,
-    eval_rpq_dfa_bits,
     expand_rtc_bits,
     iter_bits,
 )
@@ -42,7 +45,6 @@ __all__ = [
     "alphabet_reachable_mask",
     "eval_label_sequence_bits",
     "eval_rpq_bits",
-    "eval_rpq_dfa_bits",
     "expand_rtc_bits",
     "iter_bits",
 ]

@@ -9,11 +9,14 @@ traversal step per automaton state ORs whole target rows instead of
 inserting ``(vertex, state)`` tuples one at a time, so the per-edge
 cost collapses to a fraction of a word operation.
 
-The set evaluators remain the oracle: they carry the paper's
-:class:`~repro.rpq.counters.OpCounters` instrumentation, and the
-``tests/bitset`` identity suite asserts both kernels return identical
-answers on randomized graphs, the benchmark workloads, and mid-run
-updates.
+The public evaluators (:func:`repro.rpq.eval_rpq`,
+:func:`repro.rpq.eval_label_sequence`,
+:func:`repro.core.batch_unit.eval_batch_unit`) call these kernels
+whenever no :class:`~repro.rpq.counters.OpCounters` is attached.  The
+set evaluators remain for counted runs and as the oracle: the
+``tests/bitset`` identity suite calls both kernels by name and asserts
+identical answers on randomized graphs, the benchmark workloads, and
+mid-run updates.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ __all__ = [
     "alphabet_reachable_mask",
     "eval_label_sequence_bits",
     "eval_rpq_bits",
-    "eval_rpq_dfa_bits",
     "expand_rtc_bits",
     "iter_bits",
     "sweep",
@@ -103,7 +105,7 @@ def eval_rpq_bits(
     nfa,
     starts: Iterable | None = None,
 ) -> set[tuple[object, object]]:
-    """Bit-parallel :func:`repro.rpq.evaluate.eval_rpq` (same contract).
+    """Bit-parallel :func:`repro.rpq.evaluate.eval_rpq_sets` (same contract).
 
     ``nfa`` is a compiled :class:`~repro.regex.nfa.LabelNFA`; the
     nullable language contributes reflexive pairs exactly as the set
@@ -128,46 +130,6 @@ def eval_rpq_bits(
     vertex_of = interner.vertex_of
     for start_id in start_ids:
         mask = _bfs_mask(graph, delta, accepts, nfa.start, start_id)
-        if not mask:
-            continue
-        start = vertex_of(start_id)
-        for target_id in iter_bits(mask):
-            results.add((start, vertex_of(target_id)))
-    return results
-
-
-def eval_rpq_dfa_bits(
-    graph,
-    dfa,
-    starts: Iterable | None = None,
-) -> set[tuple[object, object]]:
-    """Bit-parallel :func:`repro.rpq.dfa_eval.eval_rpq_dfa` (same contract)."""
-    interner = graph.interner
-    first_labels = set(dfa.delta[dfa.start])
-    if starts is None:
-        start_ids = _candidate_start_ids(graph, first_labels)
-        reflexive: Iterable = (
-            graph.vertices() if dfa.start in dfa.accepts else ()
-        )
-    else:
-        kept = [vertex for vertex in starts if graph.has_vertex(vertex)]
-        start_ids = {interner.id_of(vertex) for vertex in kept}
-        start_ids.discard(None)
-        reflexive = kept if dfa.start in dfa.accepts else ()
-
-    # The DFA's delta is a tuple of label -> one-state rows; wrap the
-    # targets in tuples so the product BFS sees the NFA shape.
-    delta = {
-        state: {label: (target,) for label, target in row.items()}
-        for state, row in enumerate(dfa.delta)
-    }
-    accepts = dfa.accepts
-    results: set[tuple[object, object]] = set()
-    for vertex in reflexive:
-        results.add((vertex, vertex))
-    vertex_of = interner.vertex_of
-    for start_id in start_ids:
-        mask = _bfs_mask(graph, delta, accepts, (dfa.start,), start_id)
         if not mask:
             continue
         start = vertex_of(start_id)
@@ -214,7 +176,7 @@ def eval_label_sequence_bits(
     labels: Sequence[str],
     order: str = "rare-first",
 ) -> set[tuple[object, object]]:
-    """Bit-parallel :func:`repro.rpq.label_join.eval_label_sequence`.
+    """Bit-parallel :func:`repro.rpq.label_join.eval_label_sequence_sets`.
 
     Same join-order strategies (``left-right`` folds, ``rare-first``
     anchors at the rarest label and grows toward the cheaper side); the

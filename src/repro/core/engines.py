@@ -51,14 +51,13 @@ from repro.regex.parser import parse
 from repro.rpq.counters import OpCounters
 from repro.rpq.evaluate import eval_rpq
 from repro.rpq.label_join import eval_label_sequence
-from repro.rpq.restricted import RestrictedEvaluator, as_label_sequence
+from repro.rpq.restricted import RestrictedEvaluator
 
 __all__ = [
     "RPQEngine",
     "NoSharingEngine",
     "FullSharingEngine",
     "RTCSharingEngine",
-    "make_engine",
 ]
 
 Pairs = set  # set[tuple[vertex, vertex]]
@@ -69,11 +68,9 @@ class RPQEngine:
 
     Subclasses implement :meth:`_evaluate_node`; this base class provides
     parsing, total-time accounting, batch evaluation and metric reset.
-
-    ``simplify_queries=True`` runs the language-preserving rewriter of
-    :mod:`repro.regex.simplify` on every incoming query before
-    evaluation -- an opt-in extension (the paper evaluates queries as
-    given); results are guaranteed unchanged.
+    Queries are evaluated as given, like the paper's; a caller wanting
+    the language-preserving rewriter passes ``simplify(parse(query))``
+    (:mod:`repro.regex.simplify`).
     """
 
     #: Short method name used by the benchmark tables ("No", "Full", "RTC").
@@ -84,13 +81,11 @@ class RPQEngine:
         graph: LabeledMultigraph,
         collect_counters: bool = False,
         strict_labels: bool = False,
-        simplify_queries: bool = False,
     ) -> None:
         self.graph = graph
         self.timer = PhaseTimer()
         self.counters: OpCounters | None = OpCounters() if collect_counters else None
         self.strict_labels = strict_labels
-        self.simplify_queries = simplify_queries
         self.total_time = 0.0
         self.queries_evaluated = 0
 
@@ -98,10 +93,6 @@ class RPQEngine:
     def evaluate(self, query: str | RegexNode) -> Pairs:
         """Evaluate one RPQ; returns the set of ``(start, end)`` pairs."""
         node = parse(query)
-        if self.simplify_queries:
-            from repro.regex.simplify import simplify
-
-            node = simplify(node)
         start = time.perf_counter()
         result = self._evaluate_node(node)
         self.total_time += time.perf_counter() - start
@@ -166,14 +157,9 @@ class _SharingEngine(RPQEngine):
         collect_counters: bool = False,
         strict_labels: bool = False,
         max_clauses: int = 4096,
-        clause_evaluator: str = "auto",
-        simplify_queries: bool = False,
     ) -> None:
-        super().__init__(graph, collect_counters, strict_labels, simplify_queries)
+        super().__init__(graph, collect_counters, strict_labels)
         self.max_clauses = max_clauses
-        if clause_evaluator not in ("auto", "automaton", "label-join"):
-            raise ValueError(f"unknown clause evaluator {clause_evaluator!r}")
-        self.clause_evaluator = clause_evaluator
 
     # -- shared skeleton (Algorithm 1) -----------------------------------
     def _evaluate_node(self, node: RegexNode) -> Pairs:
@@ -203,17 +189,17 @@ class _SharingEngine(RPQEngine):
         return set() if result is None else result
 
     def _eval_without_closure(self, post: RegexNode, labels: tuple) -> Pairs:
-        """``EvalRPQwithoutKC`` (Algorithm 1 line 6)."""
+        """``EvalRPQwithoutKC`` (Algorithm 1 line 6).
+
+        A closure-free clause is a label sequence, evaluated by the
+        rare-label-first join; only the empty clause (epsilon) takes the
+        automaton evaluator.
+        """
         with self.timer.measure(PHASE_REMAINDER):
-            use_join = self.clause_evaluator == "label-join" or (
-                self.clause_evaluator == "auto" and len(labels) > 0
-            )
-            if use_join and not isinstance(post, Epsilon):
-                sequence = as_label_sequence(post)
-                if sequence:
-                    return eval_label_sequence(
-                        self.graph, sequence, counters=self.counters
-                    )
+            if labels:
+                return eval_label_sequence(
+                    self.graph, labels, counters=self.counters
+                )
             return eval_rpq(
                 self.graph,
                 post,
@@ -287,17 +273,8 @@ class RTCSharingEngine(_SharingEngine):
         collect_counters: bool = False,
         strict_labels: bool = False,
         max_clauses: int = 4096,
-        clause_evaluator: str = "auto",
-        simplify_queries: bool = False,
     ) -> None:
-        super().__init__(
-            graph,
-            collect_counters,
-            strict_labels,
-            max_clauses,
-            clause_evaluator,
-            simplify_queries,
-        )
+        super().__init__(graph, collect_counters, strict_labels, max_clauses)
         self.rtc_cache = RTCCache(mode=cache_mode)
         self.options = options
 
@@ -395,17 +372,8 @@ class FullSharingEngine(_SharingEngine):
         collect_counters: bool = False,
         strict_labels: bool = False,
         max_clauses: int = 4096,
-        clause_evaluator: str = "auto",
-        simplify_queries: bool = False,
     ) -> None:
-        super().__init__(
-            graph,
-            collect_counters,
-            strict_labels,
-            max_clauses,
-            clause_evaluator,
-            simplify_queries,
-        )
+        super().__init__(graph, collect_counters, strict_labels, max_clauses)
         self.closure_cache = ClosureCache(mode=cache_mode)
 
     def closure_for(self, r: str | RegexNode) -> dict:
@@ -482,30 +450,3 @@ class FullSharingEngine(_SharingEngine):
     def reset_cache(self) -> None:
         self.closure_cache.clear()
 
-
-_ENGINES = {
-    "no": NoSharingEngine,
-    "full": FullSharingEngine,
-    "rtc": RTCSharingEngine,
-}
-
-
-def make_engine(name: str, graph: LabeledMultigraph, **kwargs) -> RPQEngine:
-    """Deprecated engine factory; use :mod:`repro.db` instead.
-
-    Thin shim over the :mod:`repro.db.registry` (so engines registered
-    there resolve here too).  Unknown names raise
-    :class:`~repro.errors.UnknownEngineError`, which still ``isinstance``-
-    checks as the ``ValueError`` this function used to raise.
-    """
-    import warnings
-
-    warnings.warn(
-        "make_engine() is deprecated; use repro.db.GraphDB.open(..., "
-        "engine=name) or repro.db.create_engine() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.db.registry import create_engine
-
-    return create_engine(name, graph, **kwargs)

@@ -106,10 +106,9 @@ class EvaluationError(ReproError):
 class UnknownEngineError(ReproError, ValueError):
     """An engine name is not present in the engine registry.
 
-    Also derives from :class:`ValueError` so code written against the old
-    ``make_engine`` contract (which raised a bare ``ValueError``) keeps
-    working.  Carries the offending ``name`` and the ``available`` engine
-    names at raise time.
+    Also derives from :class:`ValueError`, so callers that catch
+    ``ValueError`` for a bad engine name keep working.  Carries the
+    offending ``name`` and the ``available`` engine names at raise time.
     """
 
     def __init__(self, name: object, available: tuple = ()) -> None:

@@ -39,27 +39,8 @@ __all__ = [
     "eval_rpq_from",
     "candidate_starts",
     "check_alphabet",
-    "pick_kernel",
+    "eval_rpq_sets",
 ]
-
-
-def pick_kernel(kernel: str, counters: OpCounters | None) -> bool:
-    """Resolve a ``kernel`` argument to "use the bitmap kernel?".
-
-    ``"auto"`` routes to the bit-parallel kernel exactly when no
-    :class:`OpCounters` is attached: the counters tally per-edge
-    traversal work that a word-parallel sweep never performs, so
-    instrumented runs (the paper's ablation figures) stay on the set
-    kernel while production paths get the fast one.  ``"bits"`` and
-    ``"sets"`` force a side, for identity tests and benchmarks.
-    """
-    if kernel == "auto":
-        return counters is None
-    if kernel == "bits":
-        return True
-    if kernel == "sets":
-        return False
-    raise ValueError(f"unknown kernel {kernel!r}; expected auto, bits, or sets")
 
 
 def check_alphabet(graph: LabeledMultigraph, nfa: LabelNFA) -> None:
@@ -149,7 +130,6 @@ def eval_rpq(
     starts: Iterable | None = None,
     counters: OpCounters | None = None,
     strict_labels: bool = False,
-    kernel: str = "auto",
 ) -> set[tuple[object, object]]:
     """Evaluate an RPQ: all ``(start, end)`` pairs of satisfying paths.
 
@@ -163,13 +143,13 @@ def eval_rpq(
         Restrict traversal to these start vertices (used by
         ``EvalRestrictedRPQ``); ``None`` evaluates from every candidate.
     counters:
-        Optional :class:`OpCounters` to tally traversal work.
+        Optional :class:`OpCounters` to tally traversal work.  Attaching
+        them runs the set kernel (:func:`eval_rpq_sets`), whose per-edge
+        work they count; without them the bitmap kernel
+        (:func:`repro.bitset.kernel.eval_rpq_bits`) answers.
     strict_labels:
         When true, raise :class:`UnknownLabelError` if the query uses a
         label missing from the graph.
-    kernel:
-        ``"auto"`` (bitmaps unless counters are attached), ``"bits"``,
-        or ``"sets"`` -- see :func:`pick_kernel`.
 
     Notes
     -----
@@ -183,9 +163,24 @@ def eval_rpq(
         nfa = compile_nfa(parse(query))
     if strict_labels:
         check_alphabet(graph, nfa)
-    if pick_kernel(kernel, counters):
+    if counters is None:
         return eval_rpq_bits(graph, nfa, starts=starts)
+    return eval_rpq_sets(graph, nfa, starts=starts, counters=counters)
 
+
+def eval_rpq_sets(
+    graph: LabeledMultigraph,
+    nfa: LabelNFA,
+    starts: Iterable | None = None,
+    counters: OpCounters | None = None,
+) -> set[tuple[object, object]]:
+    """The set kernel behind :func:`eval_rpq`: one product BFS per start.
+
+    Same contract as :func:`repro.bitset.kernel.eval_rpq_bits`, with
+    ``(vertex, state)`` tuples instead of bitmaps so that ``counters``
+    can tally the paper's per-edge work; the op-counted ablations run
+    it and the identity tests use it as the bitmap kernel's oracle.
+    """
     if starts is None:
         traversal_starts: Iterable = candidate_starts(graph, nfa)
     else:

@@ -24,9 +24,8 @@ from collections.abc import Sequence
 from repro.bitset.kernel import eval_label_sequence_bits
 from repro.graph.multigraph import LabeledMultigraph
 from repro.rpq.counters import OpCounters
-from repro.rpq.evaluate import pick_kernel
 
-__all__ = ["eval_label_sequence", "eval_labels_from"]
+__all__ = ["eval_label_sequence", "eval_label_sequence_sets", "eval_labels_from"]
 
 
 def _extend_right(
@@ -70,20 +69,31 @@ def eval_label_sequence(
     labels: Sequence[str],
     order: str = "rare-first",
     counters: OpCounters | None = None,
-    kernel: str = "auto",
 ) -> set[tuple[object, object]]:
     """All ``(start, end)`` pairs connected by the label sequence.
 
     ``order`` chooses the join strategy: ``"left-right"`` or
     ``"rare-first"`` (default).  An empty sequence denotes epsilon and
-    yields the reflexive pairs of all vertices.  ``kernel`` routes
-    between tuple joins and bitmap row sweeps
-    (:func:`repro.rpq.evaluate.pick_kernel`); both honour ``order``.
+    yields the reflexive pairs of all vertices.  Attached ``counters``
+    run the tuple joins of :func:`eval_label_sequence_sets`, which they
+    count; otherwise the bitmap row sweeps of
+    :func:`repro.bitset.kernel.eval_label_sequence_bits` answer.  Both
+    honour ``order``.
     """
-    if pick_kernel(kernel, counters):
+    if counters is None:
         return eval_label_sequence_bits(graph, labels, order=order)
+    return eval_label_sequence_sets(graph, labels, order=order, counters=counters)
+
+
+def eval_label_sequence_sets(
+    graph: LabeledMultigraph,
+    labels: Sequence[str],
+    order: str = "rare-first",
+    counters: OpCounters | None = None,
+) -> set[tuple[object, object]]:
+    """The set kernel behind :func:`eval_label_sequence`: tuple joins."""
     if not labels:
-        return {(vertex, vertex) for vertex in graph.vertices()}  # repro: noqa[RPR801] -- set-kernel reflexive pairs; the bits path returned above
+        return {(vertex, vertex) for vertex in graph.vertices()}  # repro: noqa[RPR801] -- set-kernel reflexive pairs; the bitmap kernel has its own
     if order == "left-right":
         pairs = set(graph.edges_with_label(labels[0]))
         if counters is not None:

@@ -1,10 +1,11 @@
 """The kernel identity gate: bitmap evaluation == set evaluation.
 
-Every hot path PR 10 rewired (NFA product BFS, DFA product BFS, label
-joins, the RTC expansion) must answer *identically* on the forced
-``kernel="bits"`` and ``kernel="sets"`` routes -- over randomized R-MAT
-graphs, the paper's generated 10-query workloads, restricted start
-sets, and mid-run edge updates.  Any divergence is a kernel bug by
+Every hot path the bitmap kernel serves (NFA product BFS, label joins,
+the RTC expansion) must answer *identically* when the bitmap and set
+kernels are called by name -- over randomized R-MAT graphs, the
+paper's generated 10-query workloads, restricted start sets, and
+mid-run edge updates.  The DFA traversal, a set kernel only, is held
+to the same bitmap answers.  Any divergence is a kernel bug by
 definition; there is no tolerance.
 """
 
@@ -12,13 +13,16 @@ import random
 
 import pytest
 
-from repro.bitset import expand_rtc_bits
+from repro.bitset import eval_label_sequence_bits, eval_rpq_bits, expand_rtc_bits
+from repro.core.batch_unit import eval_batch_unit
 from repro.core.rtc import compute_rtc
 from repro.datasets.rmat import rmat_graph
-from repro.graph.multigraph import LabeledMultigraph
-from repro.rpq import eval_rpq
+from repro.regex.nfa import compile_nfa
+from repro.regex.parser import parse
+from repro.rpq import OpCounters, RestrictedEvaluator, eval_rpq
 from repro.rpq.dfa_eval import eval_rpq_dfa
-from repro.rpq.label_join import eval_label_sequence
+from repro.rpq.evaluate import eval_rpq_sets
+from repro.rpq.label_join import eval_label_sequence, eval_label_sequence_sets
 from repro.workloads import generate_workload
 
 QUERIES = [
@@ -39,11 +43,11 @@ def rmat(seed, scale=5, num_edges=120, num_labels=3):
     return rmat_graph(scale, num_edges, num_labels, seed=seed)
 
 
-def both_kernels(evaluate):
-    """Run ``evaluate(kernel)`` on both routes and assert identity."""
-    bits = evaluate("bits")
-    sets = evaluate("sets")
-    assert bits == sets
+def both_kernels(graph, query, starts=None):
+    """Run the bitmap and set product BFS on ``query``; assert identity."""
+    nfa = compile_nfa(parse(query))
+    bits = eval_rpq_bits(graph, nfa, starts=starts)
+    assert bits == eval_rpq_sets(graph, nfa, starts=starts)
     return bits
 
 
@@ -52,8 +56,8 @@ class TestQueryIdentity:
     @pytest.mark.parametrize("query", QUERIES)
     def test_nfa_and_dfa_match_sets(self, seed, query):
         graph = rmat(seed)
-        both_kernels(lambda kernel: eval_rpq(graph, query, kernel=kernel))
-        both_kernels(lambda kernel: eval_rpq_dfa(graph, query, kernel=kernel))
+        bits = both_kernels(graph, query)
+        assert eval_rpq_dfa(graph, query) == bits
 
     @pytest.mark.parametrize("query", ["(l0)+", "l0.l1", "(l0|l1)+", "l0?"])
     def test_restricted_starts_match_sets(self, query):
@@ -62,14 +66,8 @@ class TestQueryIdentity:
         starts = rng.sample(sorted(graph.vertices(), key=str), 10) + [
             "not-a-vertex"
         ]
-        both_kernels(
-            lambda kernel: eval_rpq(graph, query, starts=starts, kernel=kernel)
-        )
-        both_kernels(
-            lambda kernel: eval_rpq_dfa(
-                graph, query, starts=starts, kernel=kernel
-            )
-        )
+        bits = both_kernels(graph, query, starts=starts)
+        assert eval_rpq_dfa(graph, query, starts=starts) == bits
 
     @pytest.mark.parametrize("order", ["left-right", "rare-first"])
     @pytest.mark.parametrize(
@@ -77,23 +75,29 @@ class TestQueryIdentity:
     )
     def test_label_sequences_match_sets(self, order, labels):
         graph = rmat(4)
-        both_kernels(
-            lambda kernel: eval_label_sequence(
-                graph, labels, order=order, kernel=kernel
-            )
-        )
+        assert eval_label_sequence_bits(
+            graph, labels, order=order
+        ) == eval_label_sequence_sets(graph, labels, order=order)
 
-    def test_auto_kernel_matches_forced_sets(self):
+    def test_counters_pick_the_set_kernel(self):
+        """Attached counters run the set kernel: same answer, work counted."""
         graph = rmat(5)
-        for query in QUERIES[:4]:
-            assert eval_rpq(graph, query) == eval_rpq(
-                graph, query, kernel="sets"
-            )
-
-    def test_unknown_kernel_is_rejected(self):
-        graph = rmat(5)
-        with pytest.raises(ValueError):
-            eval_rpq(graph, "l0", kernel="simd")
+        rtc = compute_rtc(graph.edges_with_label("l0"))
+        pre_pairs = set(graph.edges_with_label("l1"))
+        post = RestrictedEvaluator(parse("l2"))
+        calls = [
+            lambda counters: eval_rpq(graph, "l2.(l0.l1)+", counters=counters),
+            lambda counters: eval_label_sequence(
+                graph, ["l2", "l0", "l1"], counters=counters
+            ),
+            lambda counters: eval_batch_unit(
+                graph, pre_pairs, rtc, "+", post, counters=counters
+            ),
+        ]
+        for call in calls:
+            counters = OpCounters()
+            assert call(counters) == call(None)
+            assert counters.total() > 0
 
 
 class TestWorkloadIdentity:
@@ -102,9 +106,7 @@ class TestWorkloadIdentity:
         graph = rmat(6, num_edges=160)
         for rpq_set in generate_workload(graph, num_sets=3, seed=6):
             for query in rpq_set.queries:
-                both_kernels(
-                    lambda kernel: eval_rpq(graph, query, kernel=kernel)
-                )
+                both_kernels(graph, query)
 
 
 class TestUpdateIdentity:
@@ -122,9 +124,7 @@ class TestUpdateIdentity:
                 if not graph.has_edge(source, label, target):
                     graph.add_edge(source, label, target)
             for query in QUERIES[: 5 + round_number]:
-                both_kernels(
-                    lambda kernel: eval_rpq(graph, query, kernel=kernel)
-                )
+                both_kernels(graph, query)
 
 
 class TestRTCExpansion:

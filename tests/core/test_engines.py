@@ -6,7 +6,6 @@ from repro.core.engines import (
     FullSharingEngine,
     NoSharingEngine,
     RTCSharingEngine,
-    make_engine,
 )
 from repro.errors import RPQSyntaxError, UnknownLabelError
 from repro.graph.builders import labeled_cycle
@@ -165,35 +164,6 @@ class TestMetricsAndErrors:
     def test_syntax_error_propagates(self, fig1):
         with pytest.raises(RPQSyntaxError):
             RTCSharingEngine(fig1).evaluate("a..b")
-
-    def test_make_engine_factory(self, fig1):
-        with pytest.warns(DeprecationWarning, match="make_engine"):
-            assert isinstance(make_engine("no", fig1), NoSharingEngine)
-        with pytest.warns(DeprecationWarning):
-            assert isinstance(make_engine("FULL", fig1), FullSharingEngine)
-        with pytest.warns(DeprecationWarning):
-            assert isinstance(make_engine("rtc", fig1), RTCSharingEngine)
-
-    def test_make_engine_unknown_name(self, fig1):
-        from repro.errors import ReproError, UnknownEngineError
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(UnknownEngineError) as info:
-                make_engine("quantum", fig1)
-        assert isinstance(info.value, ReproError)
-        # Old callers caught ValueError; the new error still is one.
-        assert isinstance(info.value, ValueError)
-        assert info.value.name == "quantum"
-        assert "rtc" in info.value.available
-
-    def test_invalid_clause_evaluator(self, fig1):
-        with pytest.raises(ValueError):
-            RTCSharingEngine(fig1, clause_evaluator="psychic")
-
-    @pytest.mark.parametrize("evaluator", ["auto", "automaton", "label-join"])
-    def test_clause_evaluator_modes_agree(self, fig1, evaluator):
-        engine = RTCSharingEngine(fig1, clause_evaluator=evaluator)
-        assert engine.evaluate("b.c") == {(2, 4), (2, 6), (3, 5), (4, 2), (5, 3)}
 
 
 class TestStarIdentitySemantics:
